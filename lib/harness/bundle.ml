@@ -59,20 +59,6 @@ let write_file path contents =
   output_string oc contents;
   close_out oc
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-let rec mkdirs d =
-  if not (Sys.file_exists d) then begin
-    let parent = Filename.dirname d in
-    if parent <> d then mkdirs parent;
-    (try Sys.mkdir d 0o755 with Sys_error _ when Sys.file_exists d -> ())
-  end
-
 (* Bundle directory name for a job key: keys are path-like
    ("fig4/7", "case/12"); flatten to a single component. *)
 let name_of_key key =
@@ -80,7 +66,7 @@ let name_of_key key =
 
 let write ~root ~name ~meta ?ir ?stats ?payload () =
   let dir = Filename.concat root (name_of_key name) in
-  mkdirs dir;
+  Recordlog.mkdir_p dir;
   let meta =
     match payload with
     | Some p -> meta @ [ ("payload-md5", Digest.to_hex (Digest.string p)) ]
@@ -110,7 +96,7 @@ let read dir =
     bad dir "no such directory";
   let meta_path = Filename.concat dir "meta" in
   if not (Sys.file_exists meta_path) then bad dir "missing meta file";
-  let lines = String.split_on_char '\n' (read_file meta_path) in
+  let lines = String.split_on_char '\n' (Recordlog.read_file meta_path) in
   (match lines with
   | header :: _ when header = format_header -> ()
   | header :: _ -> bad dir (Printf.sprintf "unrecognised header %S" header)
@@ -128,7 +114,7 @@ let read dir =
   in
   let opt_file name =
     let p = Filename.concat dir name in
-    if Sys.file_exists p then Some (read_file p) else None
+    if Sys.file_exists p then Some (Recordlog.read_file p) else None
   in
   let payload = opt_file "payload.bin" in
   (match (payload, List.assoc_opt "payload-md5" meta) with

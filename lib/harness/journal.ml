@@ -1,178 +1,57 @@
-(* Append-only campaign checkpoint journal.
-
-   One journal records the completed cells of one campaign (a figure run,
-   a fuzz run, ...): each record is a (key, payload) pair, where the
-   payload is the cell's full result (typically a Marshal image) so a
+(* Append-only campaign checkpoint journal: the completed cells of one
+   campaign (a figure run, a fuzz run, ...) as (key, payload) pairs, the
+   payload being the cell's full result (typically a Marshal image), so a
    resumed campaign reproduces byte-identical output without re-running
    the work.
 
-   Durability discipline:
-   - every [record] rewrites the whole journal to [journal.tmp] and
-     atomically renames it over [journal], so a kill at ANY point leaves
-     either the previous journal or the new one — never a torn file;
-   - the header names the format version and the campaign identity;
-     resuming with a different campaign string (different seed, count,
-     engine, figure set...) is rejected instead of silently mixing runs;
-   - every record line carries an MD5 of its key+payload; any mismatch,
-     unknown line shape or trailing garbage rejects the journal loudly
-     (corruption means external tampering or disk fault — resuming from
-     it would silently corrupt results).
+   The file is a {!Recordlog}, which owns the line format, the MD5s, the
+   torn-tail rule and compaction.  This module adds the campaign identity
+   line (resuming a different seed, count, engine, figure set... is
+   rejected, never mixed), the key -> payload table, and the refusal of a
+   key recorded twice (never written, so a duplicate is damage). *)
 
-   Payloads are hex-encoded so the file stays line-oriented regardless of
-   payload bytes.  Journals hold at most a few thousand records, so the
-   rewrite-on-append is far below the cost of the cells it checkpoints. *)
-
-let format_header = "spf-checkpoint 1"
+let spec =
+  {
+    Recordlog.name = "checkpoint journal";
+    remedy = "delete it to start the campaign over";
+    header = "spf-checkpoint 2";
+    id_field = "campaign";
+    tags = [ "cell" ];
+    mismatch =
+      (fun ~path ~found ~want ->
+        Printf.sprintf
+          "checkpoint journal %s belongs to a different campaign:\n\
+          \  journal: %s\n  requested: %s"
+          path found want);
+  }
 
 type t = {
   dir : string;
-  path : string;
-  campaign : string;
+  log : Recordlog.t;
   tbl : (string, string) Hashtbl.t; (* key -> payload (decoded) *)
-  mutable order : string list; (* keys, newest first (for rewrite) *)
-  lock : Mutex.t;
+  lock : Mutex.t; (* serialises pool workers *)
 }
-
-let file t = t.path
-
-let to_hex s =
-  let b = Buffer.create (2 * String.length s) in
-  String.iter (fun c -> Buffer.add_string b (Printf.sprintf "%02x" (Char.code c))) s;
-  Buffer.contents b
-
-let of_hex s =
-  if String.length s mod 2 <> 0 then None
-  else
-    try
-      Some
-        (String.init (String.length s / 2) (fun i ->
-             Char.chr (int_of_string ("0x" ^ String.sub s (2 * i) 2))))
-    with _ -> None
-
-let checksum ~key ~hex = Digest.to_hex (Digest.string (key ^ " " ^ hex))
-
-let corrupt path msg =
-  failwith
-    (Printf.sprintf
-       "checkpoint journal %s is not usable: %s (delete it to start the \
-        campaign over)"
-       path msg)
-
-let validate_key key =
-  if
-    key = ""
-    || String.exists (fun c -> c = ' ' || c = '\n' || c = '\r') key
-  then invalid_arg ("Journal: bad record key " ^ String.escaped key)
-
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-(* Write the whole journal image and atomically swap it in. *)
-let flush_locked t =
-  let tmp = t.path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  output_string oc (format_header ^ "\n");
-  output_string oc ("campaign " ^ t.campaign ^ "\n");
-  List.iter
-    (fun key ->
-      let hex = to_hex (Hashtbl.find t.tbl key) in
-      output_string oc
-        (Printf.sprintf "cell %s %s %s\n" (checksum ~key ~hex) key hex))
-    (List.rev t.order);
-  close_out oc;
-  Sys.rename tmp t.path
-
-let parse_existing t contents =
-  let lines = String.split_on_char '\n' contents in
-  (match lines with
-  | header :: _ when header = format_header -> ()
-  | header :: _ ->
-      corrupt t.path
-        (Printf.sprintf "unrecognised header %S (expected %S)" header
-           format_header)
-  | [] -> corrupt t.path "empty file");
-  (match lines with
-  | _ :: campaign_line :: _ ->
-      let prefix = "campaign " in
-      let ok =
-        String.length campaign_line > String.length prefix
-        && String.sub campaign_line 0 (String.length prefix) = prefix
-      in
-      if not ok then corrupt t.path "missing campaign line";
-      let found =
-        String.sub campaign_line (String.length prefix)
-          (String.length campaign_line - String.length prefix)
-      in
-      if found <> t.campaign then
-        failwith
-          (Printf.sprintf
-             "checkpoint journal %s belongs to a different campaign:\n\
-             \  journal: %s\n  requested: %s"
-             t.path found t.campaign)
-  | _ -> corrupt t.path "missing campaign line");
-  let records = List.filteri (fun i _ -> i >= 2) lines in
-  List.iteri
-    (fun i line ->
-      if line = "" then begin
-        (* Only the final newline may leave an empty tail. *)
-        if i <> List.length records - 1 then
-          corrupt t.path (Printf.sprintf "blank line at record %d" i)
-      end
-      else
-        match String.split_on_char ' ' line with
-        | [ "cell"; sum; key; hex ] -> (
-            if checksum ~key ~hex <> sum then
-              corrupt t.path
-                (Printf.sprintf "checksum mismatch on record for key %s" key);
-            match of_hex hex with
-            | None ->
-                corrupt t.path
-                  (Printf.sprintf "undecodable payload for key %s" key)
-            | Some payload ->
-                if Hashtbl.mem t.tbl key then
-                  corrupt t.path (Printf.sprintf "duplicate key %s" key);
-                Hashtbl.add t.tbl key payload;
-                t.order <- key :: t.order)
-        | _ ->
-            corrupt t.path
-              (Printf.sprintf "malformed record line %d: %S" i line))
-    records
-
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    let parent = Filename.dirname dir in
-    if parent <> dir then mkdir_p parent;
-    (* A concurrent creator is fine — only a still-missing dir is an error. *)
-    try Sys.mkdir dir 0o755
-    with Sys_error _ when Sys.file_exists dir -> ()
-  end
 
 let start ~dir ~campaign =
   if String.contains campaign '\n' then
     invalid_arg "Journal.start: campaign string must be a single line";
-  if not (Sys.file_exists dir) then mkdir_p dir
+  if not (Sys.file_exists dir) then Recordlog.mkdir_p dir
   else if not (Sys.is_directory dir) then
     failwith (Printf.sprintf "campaign directory %s is not a directory" dir);
-  let path = Filename.concat dir "journal" in
-  let t =
-    {
-      dir;
-      path;
-      campaign;
-      tbl = Hashtbl.create 64;
-      order = [];
-      lock = Mutex.create ();
-    }
+  let tbl = Hashtbl.create 64 in
+  let replay ~tag:_ ~key payload =
+    if Hashtbl.mem tbl key then Error ("duplicate key " ^ key)
+    else Ok (Hashtbl.add tbl key payload)
   in
-  if Sys.file_exists path then parse_existing t (read_file path)
-  else flush_locked t;
-  t
+  let log =
+    Recordlog.open_ spec
+      ~path:(Filename.concat dir "journal")
+      ~identity:campaign ~replay
+  in
+  { dir; log; tbl; lock = Mutex.create () }
 
 let dir t = t.dir
+let file t = Recordlog.path t.log
 let completed t = Hashtbl.length t.tbl
 
 let find t key =
@@ -182,13 +61,11 @@ let find t key =
   r
 
 let record t ~key ~payload =
-  validate_key key;
   Mutex.lock t.lock;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock t.lock)
     (fun () ->
       if not (Hashtbl.mem t.tbl key) then begin
-        Hashtbl.add t.tbl key payload;
-        t.order <- key :: t.order;
-        flush_locked t
+        Recordlog.append t.log ~tag:"cell" ~key payload;
+        Hashtbl.add t.tbl key payload
       end)

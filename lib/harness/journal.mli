@@ -5,11 +5,12 @@
     their recorded payloads substituted, making the resumed run's output
     byte-identical to an uninterrupted one.
 
-    Every write rewrites the file and atomically renames it into place —
-    a kill at any point leaves a valid journal.  The header pins a format
-    version and the campaign identity; corrupted, truncated, or
-    mismatched-campaign journals are rejected with [Failure] rather than
-    silently merged. *)
+    The file is a {!Recordlog}: every write appends one whole line and
+    flushes, so a kill can only tear the final record, which the next
+    {!start} drops (that cell simply runs again) before healing the
+    file.  The header pins a format version and the campaign identity;
+    corrupted or mismatched-campaign journals are rejected with
+    [Failure] rather than silently merged. *)
 
 type t
 
@@ -18,8 +19,8 @@ val start : dir:string -> campaign:string -> t
     [campaign] (a single line naming everything that must match for
     records to be reusable: seed, count, engine, figure set...).
 
-    @raise Failure if an existing journal is corrupt, truncated, or
-    belongs to a different campaign.
+    @raise Failure if an existing journal is corrupt (anywhere but a torn
+    final record) or belongs to a different campaign.
     @raise Invalid_argument if [campaign] contains a newline. *)
 
 val dir : t -> string

@@ -9,13 +9,10 @@
     S <md5> <key> <hex reply-body payload>
     v}
 
-    Appends write one whole line and flush, so a crash — SIGKILL
-    included — can tear at most the final record, and only by cutting
-    its newline.  {!open_} tolerates exactly that torn tail (drops it
-    and compacts); any other damage (bad checksum, malformed line,
-    undecodable payload, wrong header) and any identity mismatch raise
-    [Failure] with a message telling the operator to delete the journal
-    — a damaged journal is never half-loaded.
+    The file is a {!Spf_harness.Recordlog}: appends write one whole
+    line and flush, {!open_} drops and heals only a torn final record,
+    and any other damage or an identity mismatch raises [Failure]
+    telling the operator to delete the journal.
 
     Not thread-safe: the owning {!Rcache} serializes all calls under
     its lock. *)

@@ -23,6 +23,7 @@ module Config = Spf_core.Config
 module Machine = Spf_sim.Machine
 module Engine = Spf_sim.Engine
 module Case = Spf_valid.Case
+module Recordlog = Spf_harness.Recordlog
 
 (* ------------------------------------------------------------------ *)
 (* Intrusive-list LRU with O(1) find/add/evict.                        *)
@@ -142,22 +143,6 @@ type t = {
    payload is one unambiguous space-separated line regardless of IR
    text contents. *)
 
-let to_hex s =
-  let b = Buffer.create (2 * String.length s) in
-  String.iter
-    (fun c -> Buffer.add_string b (Printf.sprintf "%02x" (Char.code c)))
-    s;
-  Buffer.contents b
-
-let of_hex s =
-  if String.length s mod 2 <> 0 then None
-  else
-    try
-      Some
-        (String.init (String.length s / 2) (fun i ->
-             Char.chr (int_of_string ("0x" ^ String.sub s (2 * i) 2))))
-    with _ -> None
-
 let encode_pass_entry (e : pass_entry) =
   let ld { Pass.header; distance; enabled; dist_slot } =
     Printf.sprintf "%d:%d:%d:%s" header distance
@@ -175,8 +160,8 @@ let encode_pass_entry (e : pass_entry) =
     | Some { Distance.window; min_c; max_c } ->
         Printf.sprintf "%d:%d:%d" window min_c max_c
   in
-  Printf.sprintf "pe1 %s %s %s %s" (to_hex e.tfunc_text)
-    (to_hex e.report_text) lds ad
+  Printf.sprintf "pe1 %s %s %s %s" (Recordlog.to_hex e.tfunc_text)
+    (Recordlog.to_hex e.report_text) lds ad
 
 let decode_pass_entry s =
   let int_opt x = int_of_string_opt x in
@@ -198,7 +183,7 @@ let decode_pass_entry s =
   in
   match String.split_on_char ' ' s with
   | [ "pe1"; tfunc_hex; report_hex; lds; ad ] -> (
-      match (of_hex tfunc_hex, of_hex report_hex) with
+      match (Recordlog.of_hex tfunc_hex, Recordlog.of_hex report_hex) with
       | Some tfunc_text, Some report_text -> (
           let loop_distances =
             if lds = "-" then Some []

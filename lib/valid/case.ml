@@ -2,6 +2,7 @@ module Ir = Spf_ir.Ir
 module Parser = Spf_ir.Parser
 module Printer = Spf_ir.Printer
 module Memory = Spf_sim.Memory
+module Recordlog = Spf_harness.Recordlog
 
 (* Runnable IR test cases: a program plus the concrete environment it
    runs in, in one text file.  This is the format `spf validate` prints
@@ -38,20 +39,12 @@ let magic = ";; spf-case v1"
 (* Printing                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let hex_of_bytes (b : Bytes.t) =
-  let buf = Buffer.create (2 * Bytes.length b) in
-  Bytes.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c))) b;
-  Buffer.contents buf
-
 let bytes_of_hex ~line s =
-  let n = String.length s in
-  if n mod 2 <> 0 then
+  if String.length s mod 2 <> 0 then
     raise (Parser.Parse_error { line; msg = "odd hex string in !mem" });
-  Bytes.init (n / 2)
-    (fun i ->
-      match int_of_string_opt ("0x" ^ String.sub s (2 * i) 2) with
-      | Some v -> Char.chr v
-      | None -> raise (Parser.Parse_error { line; msg = "bad hex in !mem" }))
+  match Recordlog.of_hex s with
+  | Some b -> b
+  | None -> raise (Parser.Parse_error { line; msg = "bad hex in !mem" })
 
 (* Non-zero spans of a memory image, greedily merged so that short zero
    gaps don't multiply directives. *)
@@ -102,7 +95,7 @@ let to_string t =
   List.iter
     (fun (addr, bytes) ->
       Buffer.add_string buf
-        (Printf.sprintf "!mem %d %s\n" addr (hex_of_bytes (Bytes.of_string bytes))))
+        (Printf.sprintf "!mem %d %s\n" addr (Recordlog.to_hex bytes)))
     t.writes;
   Buffer.add_string buf (Printer.func_to_string t.func);
   Buffer.contents buf
@@ -127,7 +120,7 @@ let parse text =
         | [ "!fuel"; v ] -> fuel := int_of_string v
         | [ "!mem"; a; hex ] ->
             writes :=
-              (int_of_string a, Bytes.to_string (bytes_of_hex ~line hex))
+              (int_of_string a, bytes_of_hex ~line hex)
               :: !writes
         | _ ->
             raise (Parser.Parse_error { line; msg = "unknown case directive: " ^ s })
@@ -143,12 +136,7 @@ let parse text =
     writes = List.rev !writes;
   }
 
-let load path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let text = really_input_string ic n in
-  close_in ic;
-  parse text
+let load path = parse (Recordlog.read_file path)
 
 let save path t =
   let oc = open_out_bin path in

@@ -36,4 +36,5 @@ let () =
       ("serve", Test_serve.suite);
       ("proto-fuzz", Test_proto_fuzz.suite);
       ("cache-journal", Test_cjournal.suite);
+      ("record-log", Test_recordlog.suite);
     ]

@@ -7,7 +7,7 @@ module Replay = Spf_fuzz.Replay
 module Gen = Spf_fuzz.Gen
 module Rng = Spf_workloads.Rng
 
-(* Durable campaign state: checkpoint journals (atomic, versioned,
+(* Durable campaign state: checkpoint journals (append-only, versioned,
    strictly validated) and self-contained crash bundles.  See
    docs/ROBUSTNESS.md for the on-disk formats. *)
 
@@ -98,15 +98,84 @@ let test_journal_corruption_rejected () =
    in
    write_file (Journal.file j) (String.concat "\n" lines));
   expect_rejected "bit-flipped" dir;
-  (* Truncated mid-record, as a kill mid-write would NOT produce (writes
-     are atomic renames) but a failing disk could. *)
+  (* A torn final record — what a kill in the middle of an append leaves:
+     the last line cut short of its newline.  The journal opens without
+     the torn cell, every earlier record survives byte-exact, and the
+     file is healed whole, so the next open has nothing to recover (a
+     heal renames a fresh snapshot in, which would change the inode). *)
   let dir = fresh_dir () in
   let j = Journal.start ~dir ~campaign:"c" in
-  Journal.record j ~key:"cell/0" ~payload:"a long enough payload";
+  Journal.record j ~key:"cell/0" ~payload:"an earlier payload";
+  let before_tail = read_back (Journal.file j) in
+  Journal.record j ~key:"cell/1" ~payload:"a long enough payload";
   let contents = read_back (Journal.file j) in
   write_file (Journal.file j)
     (String.sub contents 0 (String.length contents - 7));
-  expect_rejected "truncated" dir
+  let j = Journal.start ~dir ~campaign:"c" in
+  Alcotest.(check int) "torn cell dropped" 1 (Journal.completed j);
+  Alcotest.(check (option string)) "torn cell absent" None
+    (Journal.find j "cell/1");
+  Alcotest.(check (option string))
+    "earlier cell survives" (Some "an earlier payload")
+    (Journal.find j "cell/0");
+  Alcotest.(check string)
+    "earlier records kept byte-exact, file whole" before_tail
+    (read_back (Journal.file j));
+  let inode () = (Unix.stat (Journal.file j)).Unix.st_ino in
+  let healed = inode () in
+  let j = Journal.start ~dir ~campaign:"c" in
+  Alcotest.(check int) "second open: no recovery" healed (inode ());
+  Alcotest.(check string)
+    "second open leaves the file alone" before_tail
+    (read_back (Journal.file j));
+  Journal.record j ~key:"cell/1" ~payload:"again";
+  Alcotest.(check (option string))
+    "appends after the heal reload" (Some "again")
+    (Journal.find (Journal.start ~dir ~campaign:"c") "cell/1");
+  (* Every other damage stays fatal, even next to a torn tail. *)
+  let journal_with payloads =
+    let dir = fresh_dir () in
+    let j = Journal.start ~dir ~campaign:"c" in
+    List.iteri
+      (fun i p -> Journal.record j ~key:(Printf.sprintf "cell/%d" i) ~payload:p)
+      payloads;
+    (dir, Journal.file j, read_back (Journal.file j))
+  in
+  let newline_after_record contents n =
+    (* Offset of the newline ending record [n] (after header + campaign). *)
+    let rec nth_nl from k =
+      let i = String.index_from contents from '\n' in
+      if k = 0 then i else nth_nl (i + 1) (k - 1)
+    in
+    nth_nl 0 (n + 2)
+  in
+  (* A non-final record missing its newline: two records joined. *)
+  let dir, file, contents = journal_with [ "zero"; "one"; "two" ] in
+  let nl = newline_after_record contents 0 in
+  write_file file
+    (String.sub contents 0 nl
+    ^ String.sub contents (nl + 1) (String.length contents - nl - 1));
+  expect_rejected "joined-records" dir;
+  (* A bit-flipped earlier record followed by a torn tail. *)
+  let dir, file, contents = journal_with [ "zero"; "one" ] in
+  let nl = newline_after_record contents 0 in
+  let b = Bytes.of_string contents in
+  Bytes.set b (nl - 1) (if contents.[nl - 1] = '0' then '1' else '0');
+  write_file file (Bytes.sub_string b 0 (Bytes.length b - 5));
+  expect_rejected "bit-flipped-then-torn" dir;
+  (* The same key recorded twice (the journal never writes that). *)
+  let dir, file, contents = journal_with [ "zero" ] in
+  let record = newline_after_record contents (-1) + 1 in
+  write_file file
+    (contents ^ String.sub contents record (String.length contents - record));
+  expect_rejected "duplicate-key" dir;
+  (* A version-1 journal (its checksums do not cover the tag). *)
+  let dir, file, contents = journal_with [ "zero" ] in
+  let header_end = String.index contents '\n' in
+  write_file file
+    ("spf-checkpoint 1"
+    ^ String.sub contents header_end (String.length contents - header_end));
+  expect_rejected "version-1" dir
 
 let test_bundle_roundtrip () =
   let root = fresh_dir () in
@@ -235,6 +304,32 @@ let test_kill_mid_campaign_resume () =
   Alcotest.(check (list int))
     "journaled cells ran exactly once overall"
     [ 1; 1; 1; 1; 1; 1 ]
+    (Array.to_list executions);
+  (* A kill in the middle of the third append: the prefix journal loses
+     its last bytes.  The torn cell runs again, once, with the rest.  One
+     worker, so cell 2 is the last record. *)
+  let dir = fresh_dir () in
+  ignore
+    (Sup.run_jobs
+       (Sup.options ~jobs:1 ~journal:(Journal.start ~dir ~campaign) ())
+       ~encode ~decode (List.init 3 job));
+  let file = Filename.concat dir "journal" in
+  let contents = read_back file in
+  write_file file (String.sub contents 0 (String.length contents - 4));
+  Array.fill executions 0 6 0;
+  let resumed =
+    Sup.run_jobs (opts dir campaign) ~encode ~decode (List.init 6 job)
+  in
+  Alcotest.(check (list int))
+    "torn-tail resume: values identical to an uninterrupted run"
+    [ 100; 101; 102; 103; 104; 105 ]
+    (List.map
+       (function
+         | Ok o -> o.Sup.value | Error _ -> Alcotest.fail "unexpected failure")
+       resumed);
+  Alcotest.(check (list int))
+    "torn-tail resume: cells 0-1 replayed, the torn cell and 3-5 run once"
+    [ 0; 0; 1; 1; 1; 1 ]
     (Array.to_list executions)
 
 let test_fuzz_payload_roundtrip () =
