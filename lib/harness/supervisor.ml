@@ -21,11 +21,10 @@ module Stats = Spf_sim.Stats
      timeouts (also retried — a deadline overrun can be scheduling
      noise), and deterministic ones (failed immediately: re-running a
      deterministic simulation reproduces the same failure).
-   - {e engine fallback}: a job whose engine decode raises
-     ({!Spf_sim.Tape.Decode_error} or {!Spf_sim.Compile.Decode_error})
-     is re-run one step down the {!Spf_sim.Engine.fallback} chain
-     (tape -> compiled -> interp) — the engines are bit-identical, so
-     the campaign's numbers are unaffected; each degradation is reported
+   - {e engine fallback}: a job whose tape decode raises
+     ({!Spf_sim.Tape.Decode_error}) is re-run on the interpreter
+     ({!Spf_sim.Engine.fallback}) — the engines are bit-identical, so
+     the campaign's numbers are unaffected; the degradation is reported
      as a note, not a failure, and does not consume a retry.
    - {e checkpointing}: with a {!Journal}, each completed job's encoded
      result is durably recorded by the worker the moment it completes,
@@ -62,8 +61,7 @@ exception Transient_failure of string
    Transient. *)
 let classify = function
   | S.Cancelled _ -> Timeout
-  | Spf_sim.Compile.Decode_error _ | Spf_sim.Tape.Decode_error _ ->
-      Decode_failure
+  | Spf_sim.Tape.Decode_error _ -> Decode_failure
   | Transient_failure _ | Out_of_memory | Stack_overflow -> Transient
   | Unix.Unix_error _ | Sys_error _ -> Transient
   | S.Trap _ | S.Fuel_exhausted | Failure _ -> Deterministic
@@ -76,7 +74,6 @@ type policy = {
   retries : int; (* max re-runs after the first attempt *)
   backoff_base_s : float; (* sleep before retry k: base * 2^k, capped *)
   backoff_max_s : float;
-  engine_fallback : bool; (* decode failure -> next engine down the chain *)
 }
 
 let default_policy =
@@ -85,7 +82,6 @@ let default_policy =
     retries = 1;
     backoff_base_s = 0.25;
     backoff_max_s = 5.0;
-    engine_fallback = true;
   }
 
 let backoff_s policy attempt =
@@ -289,10 +285,9 @@ let run_jobs opts ~encode ~decode jobs =
               in
               let cur = Option.value !engine ~default:Engine.default in
               match (cls, Engine.fallback cur) with
-              | Decode_failure, Some next when opts.policy.engine_fallback ->
-                  (* Degradation, not a retry: every engine down the
-                     chain is bit-identical, so the campaign's numbers
-                     are safe. *)
+              | Decode_failure, Some next ->
+                  (* Degradation, not a retry: the fallback engine is
+                     bit-identical, so the campaign's numbers are safe. *)
                   notes :=
                     Fell_back
                       {

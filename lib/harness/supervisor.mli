@@ -10,8 +10,8 @@ type classification =
   | Transient  (** environmental (OOM, OS error); worth retrying *)
   | Deterministic  (** a property of the job itself; retrying is futile *)
   | Decode_failure
-      (** an engine's decode raised; fall back down the
-          {!Spf_sim.Engine.fallback} chain *)
+      (** the tape engine's decode raised; fall back to
+          {!Spf_sim.Engine.fallback} (the interpreter) *)
   | Timeout  (** the watchdog fired the job's deadline *)
 
 val classification_to_string : classification -> string
@@ -29,12 +29,11 @@ type policy = {
   retries : int;  (** max re-runs after the first attempt *)
   backoff_base_s : float;  (** sleep before retry [k] is [base * 2^k]... *)
   backoff_max_s : float;  (** ...capped at this *)
-  engine_fallback : bool;
-      (** decode failure -> next engine down the chain, not a failure *)
 }
 
 val default_policy : policy
-(** No deadline, one retry, 0.25s..5s backoff, fallback enabled. *)
+(** No deadline, one retry, 0.25s..5s backoff.  A decode failure always
+    falls back to {!Spf_sim.Engine.fallback} when there is one. *)
 
 val backoff_s : policy -> int -> float
 (** [backoff_s p attempt] is the bounded sleep after failed 0-based

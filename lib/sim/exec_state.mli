@@ -1,8 +1,8 @@
 (** Execution state and timing helpers shared by the simulator engines
-    (the classic interpreter, the compile-to-closure engine and the
-    micro-op tape engine).  Keeping dispatch/retire, the in-order miss
-    slots and the memory-operation sequences in one place is what
-    guarantees the engines stay bit-identical. *)
+    (the classic interpreter and the micro-op tape engine).  Keeping
+    dispatch/retire, the in-order miss slots and the memory-operation
+    sequences in one place is what guarantees the engines stay
+    bit-identical. *)
 
 val default_tscale : int
 

@@ -4,11 +4,7 @@ module S = Exec_state
 
 (* Micro-op tape execution engine.
 
-   The closure engine (Compile) already decodes each static instruction
-   once, but its decode product is an array of heap-allocated closures:
-   every retired instruction costs an indirect call, and every operand
-   read costs a second indirect call through a captured reader closure.
-   The tape engine flattens the same decode into contiguous
+   Each static instruction is decoded once into contiguous
    struct-of-arrays storage — an int opcode array plus parallel operand /
    destination / latency arrays — so the hot loop is a direct [match] on
    an unboxed opcode (a jump table), with zero closure captures and zero
@@ -39,15 +35,15 @@ module S = Exec_state
 
    Every micro-op drives the shared {!Exec_state} with the shared
    dispatch/retire/memory helpers in exactly the interpreter's order, so
-   the engine is bit-identical to the other two: same Stats, same
+   the engine is bit-identical to it: same Stats, same
    Trap/Fuel_exhausted/Cancelled behaviour, same multicore schedule.
    The golden suite, the cross-engine fuzz oracle and the symbolic
    validator pin this.
 
    Decoded tapes are cached per domain, keyed by (tscale, structural
-   signature), like the closure engine's cache.  The phi-copy scratch
-   buffers are written and fully consumed inside one block boundary and
-   are therefore safe to share between instances on one domain. *)
+   signature).  The phi-copy scratch buffers are written and fully
+   consumed inside one block boundary and are therefore safe to share
+   between instances on one domain. *)
 
 (* --- opcode space -------------------------------------------------------
 
@@ -178,6 +174,25 @@ let init_consts p (st : S.t) =
 (* --- decode ------------------------------------------------------------- *)
 
 exception Decode_error of string
+
+(* GEP-fusion legality: the GEP's value has exactly one use — the
+   immediately following load/store's *address* operand — and no
+   terminator use (phi uses appear in [Usedef.uses], so a phi reader also
+   blocks fusion).  The fused micro-op still performs both instructions'
+   full timing sequences (two instruction counts, two dispatches, two
+   retirements); what it elides is the env/ready round-trip through the
+   GEP's SSA slot, which the single-use condition makes unobservable. *)
+let fusable usedef (g : Ir.instr) (nxt : Ir.instr) =
+  match g.Ir.kind with
+  | Ir.Gep _ -> (
+      match (Usedef.uses usedef g.Ir.id, Usedef.term_uses usedef g.Ir.id) with
+      | [ u ], [] when u = nxt.Ir.id -> (
+          match nxt.Ir.kind with
+          | Ir.Load (_, Ir.Var a) -> a = g.Ir.id
+          | Ir.Store (_, Ir.Var a, v) -> a = g.Ir.id && v <> Ir.Var g.Ir.id
+          | _ -> false)
+      | _ -> false)
+  | _ -> false
 
 let decode_raw ~tsc func : program =
   let usedef = Usedef.build func in
@@ -332,7 +347,7 @@ let decode_raw ~tsc func : program =
                match i.Ir.kind with Ir.Phi _ -> None | _ -> Some i)
       in
       let rec go = function
-        | g :: nxt :: rest when Compile.fusable usedef g nxt ->
+        | g :: nxt :: rest when fusable usedef g nxt ->
             emit_fused g nxt;
             go rest
         | i :: rest ->
@@ -442,7 +457,7 @@ let decode ~tscale func : program =
   | e ->
       (* Anything escaping decode means this engine cannot run the
          program; wrapping it lets a supervisor distinguish "the tape
-         engine choked" (fall back to the closure engine) from "the
+         engine choked" (fall back to the interpreter) from "the
          program is bad" (fail the job). *)
       raise (Decode_error (Printexc.to_string e))
 

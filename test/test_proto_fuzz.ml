@@ -101,6 +101,19 @@ let test_retry_after_absent_elsewhere () =
         (Proto.retry_after_ms r)
   | Error e -> Alcotest.fail e
 
+let test_removed_engine_is_classified () =
+  (* A client written against an older build may still send
+     engine=compiled (the closure engine, since removed): it must get a
+     classified error — an ERR reply — not a raise that drops the
+     connection. *)
+  match
+    Proto.request_of ~id:"old" ~opts:[ ("engine", "compiled") ] ~case_text:""
+  with
+  | Error e ->
+      Alcotest.(check string) "classified" "unknown engine \"compiled\"" e
+  | Ok _ -> Alcotest.fail "removed engine accepted"
+  | exception e -> Alcotest.fail ("raised: " ^ Printexc.to_string e)
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [ prop_parse_verb; prop_parse_verb_submit; prop_request_of; prop_read_reply ]
@@ -116,4 +129,6 @@ let suite =
         test_busy_line_round_trips;
       Alcotest.test_case "retry-after only on busy" `Quick
         test_retry_after_absent_elsewhere;
+      Alcotest.test_case "engine=compiled is a classified error" `Quick
+        test_removed_engine_is_classified;
     ]

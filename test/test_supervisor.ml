@@ -28,9 +28,6 @@ let test_classifier () =
   check "deadline cancellation is a timeout"
     (Spf_sim.Exec_state.Cancelled (Spf_sim.Stats.create ()))
     Sup.Timeout;
-  check "compiled-engine decode failure is its own class"
-    (Spf_sim.Compile.Decode_error "x")
-    Sup.Decode_failure;
   check "tape-engine decode failure is its own class"
     (Spf_sim.Tape.Decode_error "x")
     Sup.Decode_failure;
@@ -150,42 +147,11 @@ let test_deadline_spares_fast_jobs () =
   | [ Ok o ] -> Alcotest.(check int) "value" 7 o.Sup.value
   | _ -> Alcotest.fail "fast job must beat a generous deadline"
 
-let test_engine_fallback_identical_stats () =
-  (* A job whose compiled-engine decode raises must transparently re-run
-     on the interpreter and produce the stats the interpreter produces —
-     the engines are bit-identical, so the campaign numbers are safe. *)
-  let machine = Spf_sim.Machine.haswell in
-  let run_is (ctx : Runner.ctx) = Runner.run_ctx ctx ~machine (Is.build Is.default) in
-  let work (ctx : Runner.ctx) =
-    match ctx.Runner.engine with
-    | Some Engine.Interp -> run_is ctx
-    | _ -> raise (Spf_sim.Compile.Decode_error "synthetic decode failure")
-  in
-  let jobs = [ { Sup.key = "t/0"; work; binfo = None } ] in
-  let rencode (r : Runner.result) = Marshal.to_string r [] in
-  let rdecode s =
-    try Some (Marshal.from_string s 0 : Runner.result) with _ -> None
-  in
-  match
-    Sup.run_jobs
-      (Sup.options ~engine:Engine.Compiled ())
-      ~encode:rencode ~decode:rdecode jobs
-  with
-  | [ Ok o ] ->
-      let direct = run_is (Runner.ctx_of_engine (Some Engine.Interp)) in
-      Alcotest.(check bool)
-        "fell back (one note)" true
-        (match o.Sup.notes with [ Sup.Fell_back _ ] -> true | _ -> false);
-      Alcotest.(check bool)
-        "stats identical to a direct interp run" true
-        (o.Sup.value.Runner.stats = direct.Runner.stats)
-  | _ -> Alcotest.fail "expected fallback success"
-
-let test_fallback_chain_tape_to_interp () =
-  (* A job whose decode fails on both the tape and the closure engine
-     must walk the whole fallback chain (tape -> compiled -> interp),
-     leaving one note per step, and still produce the interpreter's
-     exact stats. *)
+let test_fallback_tape_to_interp () =
+  (* A job whose tape decode raises must transparently re-run on the
+     interpreter, leaving exactly one fallback note, and produce the stats
+     a direct interpreter run produces — the engines are bit-identical,
+     so the campaign numbers are safe. *)
   let machine = Spf_sim.Machine.haswell in
   let run_is (ctx : Runner.ctx) =
     Runner.run_ctx ctx ~machine (Is.build Is.default)
@@ -193,8 +159,6 @@ let test_fallback_chain_tape_to_interp () =
   let work (ctx : Runner.ctx) =
     match ctx.Runner.engine with
     | Some Engine.Interp -> run_is ctx
-    | Some Engine.Compiled ->
-        raise (Spf_sim.Compile.Decode_error "synthetic compiled failure")
     | _ -> raise (Spf_sim.Tape.Decode_error "synthetic tape failure")
   in
   let jobs = [ { Sup.key = "t/0"; work; binfo = None } ] in
@@ -210,31 +174,22 @@ let test_fallback_chain_tape_to_interp () =
   | [ Ok o ] ->
       let direct = run_is (Runner.ctx_of_engine (Some Engine.Interp)) in
       Alcotest.(check bool)
-        "two fallback notes, tape->compiled->interp" true
+        "one fallback note, tape->interp" true
         (match o.Sup.notes with
         | [
-         Sup.Fell_back { from_engine = Engine.Tape; to_engine = Engine.Compiled; _ };
-         Sup.Fell_back { from_engine = Engine.Compiled; to_engine = Engine.Interp; _ };
+         Sup.Fell_back { from_engine = Engine.Tape; to_engine = Engine.Interp; _ };
         ] ->
             true
         | _ -> false);
       Alcotest.(check bool)
         "stats identical to a direct interp run" true
         (o.Sup.value.Runner.stats = direct.Runner.stats)
-  | _ -> Alcotest.fail "expected chained fallback success"
-
-let test_fallback_disabled_fails () =
-  let work _ctx = raise (Spf_sim.Compile.Decode_error "synthetic") in
-  let policy = { Sup.default_policy with engine_fallback = false } in
-  match run_jobs ~policy ~engine:Engine.Compiled [ job "t/0" work ] with
-  | [ Error f ] ->
-      Alcotest.check classification "class" Sup.Decode_failure f.Sup.f_class
-  | _ -> Alcotest.fail "expected Error with fallback disabled"
+  | _ -> Alcotest.fail "expected fallback success"
 
 let test_interp_decode_failure_not_looped () =
   (* Decode failure on the interpreter (no engine below it) must fail,
      not fall back forever. *)
-  let work _ctx = raise (Spf_sim.Compile.Decode_error "synthetic") in
+  let work _ctx = raise (Spf_sim.Tape.Decode_error "synthetic") in
   match run_jobs ~engine:Engine.Interp [ job "t/0" work ] with
   | [ Error f ] ->
       Alcotest.check classification "class" Sup.Decode_failure f.Sup.f_class
@@ -267,11 +222,7 @@ let suite =
     Alcotest.test_case "generous deadline leaves fast jobs alone" `Quick
       test_deadline_spares_fast_jobs;
     Alcotest.test_case "decode failure falls back to identical interp run"
-      `Quick test_engine_fallback_identical_stats;
-    Alcotest.test_case "tape decode failure walks the whole fallback chain"
-      `Quick test_fallback_chain_tape_to_interp;
-    Alcotest.test_case "fallback can be disabled by policy" `Quick
-      test_fallback_disabled_fails;
+      `Quick test_fallback_tape_to_interp;
     Alcotest.test_case "no fallback below the interpreter" `Quick
       test_interp_decode_failure_not_looped;
     Alcotest.test_case "outcomes come back in submission order" `Quick
