@@ -186,6 +186,48 @@ let test_fallback_tape_to_interp () =
         (o.Sup.value.Runner.stats = direct.Runner.stats)
   | _ -> Alcotest.fail "expected fallback success"
 
+let test_fallback_chain_tape_to_interp () =
+  (* A job whose decode fails on every engine above the bottom of the
+     degradation order must walk that whole order from tape, trying each
+     engine once, leaving one note per step, and finish on the bottom
+     engine. *)
+  let rec chain e =
+    match Engine.fallback e with None -> [ e ] | Some e' -> e :: chain e'
+  in
+  let want = chain Engine.Tape in
+  let bottom = List.nth want (List.length want - 1) in
+  let tried = ref [] in
+  let work (ctx : Runner.ctx) =
+    let e = Option.value ctx.Runner.engine ~default:Engine.default in
+    tried := e :: !tried;
+    if e = bottom then 7
+    else raise (Spf_sim.Tape.Decode_error "synthetic decode failure")
+  in
+  match run_jobs ~engine:Engine.Tape [ job "t/0" work ] with
+  | [ Ok o ] ->
+      Alcotest.(check (list string))
+        "engines tried, in degradation order"
+        (List.map Engine.to_string want)
+        (List.rev_map Engine.to_string !tried);
+      let steps =
+        List.filter_map
+          (function
+            | Sup.Fell_back { from_engine; to_engine; _ } ->
+                Some (Engine.to_string from_engine ^ "->" ^ Engine.to_string to_engine)
+            | _ -> None)
+          o.Sup.notes
+      in
+      let rec pairs = function
+        | a :: (b :: _ as rest) ->
+            (Engine.to_string a ^ "->" ^ Engine.to_string b) :: pairs rest
+        | _ -> []
+      in
+      Alcotest.(check (list string)) "one note per step" (pairs want) steps;
+      Alcotest.(check bool) "chain ends on the interpreter" true
+        (bottom = Engine.Interp);
+      Alcotest.(check int) "value" 7 o.Sup.value
+  | _ -> Alcotest.fail "expected chained fallback success"
+
 let test_interp_decode_failure_not_looped () =
   (* Decode failure on the interpreter (no engine below it) must fail,
      not fall back forever. *)
@@ -223,6 +265,8 @@ let suite =
       test_deadline_spares_fast_jobs;
     Alcotest.test_case "decode failure falls back to identical interp run"
       `Quick test_fallback_tape_to_interp;
+    Alcotest.test_case "tape decode failure walks the whole fallback chain"
+      `Quick test_fallback_chain_tape_to_interp;
     Alcotest.test_case "no fallback below the interpreter" `Quick
       test_interp_decode_failure_not_looped;
     Alcotest.test_case "outcomes come back in submission order" `Quick
