@@ -29,21 +29,24 @@ let to_hex s =
 
 exception Not_hex
 
-let of_hex s =
-  let n = String.length s / 2 in
-  if String.length s mod 2 <> 0 then None
+(* Decode the [len] hex digits of [s] starting at [pos]. *)
+let of_hex_sub s ~pos ~len =
+  let n = len / 2 in
+  if len mod 2 <> 0 then None
   else
     let b = Bytes.create n in
     match
       for i = 0 to n - 1 do
-        let hi = nibble.(Char.code s.[2 * i])
-        and lo = nibble.(Char.code s.[(2 * i) + 1]) in
+        let hi = nibble.(Char.code s.[pos + (2 * i)])
+        and lo = nibble.(Char.code s.[pos + (2 * i) + 1]) in
         if hi < 0 || lo < 0 then raise_notrace Not_hex;
         Bytes.set b i (Char.chr ((hi lsl 4) lor lo))
       done
     with
     | () -> Some (Bytes.unsafe_to_string b)
     | exception Not_hex -> None
+
+let of_hex s = of_hex_sub s ~pos:0 ~len:(String.length s)
 
 let rec mkdir_p dir =
   if not (Sys.file_exists dir) then begin
@@ -110,57 +113,93 @@ let snapshot path image =
   Sys.rename tmp path
 
 (* Check and replay an existing image; returns whether a torn final line
-   was dropped (and the file healed). *)
+   was dropped (and the file healed).  Records are checked in place —
+   located by offset, digested from one buffer and decoded once — since
+   a reopen walks every record of the log. *)
 let load spec ~path ~identity ~replay =
   let contents = read_file path in
+  let len = String.length contents in
   let damaged = damaged spec path in
-  (* The last element is "" when the file ends in a newline, otherwise
-     the torn final line. *)
-  let lines = String.split_on_char '\n' contents in
-  let tail, whole =
-    match List.rev lines with
-    | tail :: rev_whole -> (tail, List.rev rev_whole)
-    | [] -> assert false (* split_on_char never returns [] *)
+  (* End of the line starting at [pos]: its newline, or [len] when it is
+     the unterminated final line. *)
+  let eol pos =
+    match String.index_from_opt contents pos '\n' with Some i -> i | None -> len
   in
-  let header = List.hd lines in
+  (* Everything past the last newline is the torn final line. *)
+  let whole_end =
+    match String.rindex_opt contents '\n' with Some i -> i + 1 | None -> 0
+  in
+  let header_end = eol 0 in
+  let header = String.sub contents 0 header_end in
   if header <> spec.header then
     damaged
       (Printf.sprintf "unrecognised header %S (expected %S)" header
          spec.header);
   let prefix = spec.id_field ^ " " in
-  let records =
-    match whole with
-    | _ :: id_line :: records when String.starts_with ~prefix id_line ->
-        let found =
-          String.sub id_line (String.length prefix)
-            (String.length id_line - String.length prefix)
-        in
-        if found <> identity then
-          failwith (spec.mismatch ~path ~found ~want:identity);
-        records
-    | _ -> damaged (Printf.sprintf "missing %s line" spec.id_field)
+  let id_end = if header_end < len then eol (header_end + 1) else len in
+  let id_line =
+    if id_end < len then String.sub contents (header_end + 1) (id_end - header_end - 1)
+    else ""
   in
-  List.iteri
-    (fun i line ->
-      if line = "" then damaged (Printf.sprintf "blank line at record %d" i);
-      match String.split_on_char ' ' line with
-      | [ tag; sum; key; hex ] when List.mem tag spec.tags -> (
-          if checksum ~tag ~key ~hex <> sum then
-            damaged
-              (Printf.sprintf "checksum mismatch on record for key %s" key);
-          match of_hex hex with
-          | None ->
-              damaged (Printf.sprintf "undecodable payload for key %s" key)
-          | Some payload -> (
-              match replay ~tag ~key payload with
-              | Ok () -> ()
-              | Error msg -> damaged msg))
-      | _ -> damaged (Printf.sprintf "malformed record line %d: %S" i line))
-    records;
-  let torn = tail <> "" in
-  if torn then
-    snapshot path
-      (String.sub contents 0 (String.length contents - String.length tail));
+  if id_end >= len || not (String.starts_with ~prefix id_line) then
+    damaged (Printf.sprintf "missing %s line" spec.id_field);
+  let found =
+    String.sub id_line (String.length prefix)
+      (String.length id_line - String.length prefix)
+  in
+  if found <> identity then failwith (spec.mismatch ~path ~found ~want:identity);
+  (* One record line [pos, stop): "<tag> <sum> <key> <hex>". *)
+  let record i pos stop =
+    if stop = pos then damaged (Printf.sprintf "blank line at record %d" i);
+    let malformed () =
+      damaged
+        (Printf.sprintf "malformed record line %d: %S" i
+           (String.sub contents pos (stop - pos)))
+    in
+    let rec space j =
+      if j >= stop then -1 else if contents.[j] = ' ' then j else space (j + 1)
+    in
+    let next j = if j < 0 then -1 else space (j + 1) in
+    let s1 = space pos in
+    let s2 = next s1 in
+    let s3 = next s2 in
+    if s3 < 0 || next s3 >= 0 then malformed ();
+    let tag = String.sub contents pos (s1 - pos) in
+    if not (List.mem tag spec.tags) then malformed ();
+    let key = String.sub contents (s2 + 1) (s3 - s2 - 1) in
+    (* The checksum covers the line without its " <sum>" field. *)
+    let body = Bytes.create (s1 - pos + (stop - s2)) in
+    Bytes.blit_string contents pos body 0 (s1 - pos);
+    Bytes.blit_string contents s2 body (s1 - pos) (stop - s2);
+    let d = Digest.bytes body in
+    (* Compare with the stored sum digit by digit, as {!to_hex} writes it. *)
+    let rec sum_ok k =
+      k = String.length d
+      ||
+      let c = Char.code d.[k] and at = s1 + 1 + (2 * k) in
+      contents.[at] = hex_digits.[c lsr 4]
+      && contents.[at + 1] = hex_digits.[c land 15]
+      && sum_ok (k + 1)
+    in
+    if s2 - s1 - 1 <> 2 * String.length d || not (sum_ok 0) then
+      damaged (Printf.sprintf "checksum mismatch on record for key %s" key);
+    match of_hex_sub contents ~pos:(s3 + 1) ~len:(stop - s3 - 1) with
+    | None -> damaged (Printf.sprintf "undecodable payload for key %s" key)
+    | Some payload -> (
+        match replay ~tag ~key payload with
+        | Ok () -> ()
+        | Error msg -> damaged msg)
+  in
+  let rec records i pos =
+    if pos < whole_end then begin
+      let stop = eol pos in
+      record i pos stop;
+      records (i + 1) (stop + 1)
+    end
+  in
+  records 0 (id_end + 1);
+  let torn = whole_end < len in
+  if torn then snapshot path (String.sub contents 0 whole_end);
   torn
 
 let open_ spec ~path ~identity ~replay =

@@ -10,13 +10,21 @@
    identical to the classic stamp-based true-LRU scheme: the same keys
    hit, and the same victim is displaced on every insert (invalid ways
    drift to — and are consumed from — the back, exactly like the
-   all-zero stamps they used to carry). *)
+   all-zero stamps they used to carry).
+
+   The tag array covers only the materialised sets [0, hi): it starts at
+   64 sets (all of an 8-way 32 KiB L1) and doubles the first time a key
+   is inserted into a higher set.  An 8 MiB L3 would otherwise cost
+   131,072 words per instance, while a small program touches a few
+   hundred lines.  A set not yet materialised holds only invalid ways,
+   so probing it is the same miss as before. *)
 
 type t = {
   sets : int;
   mask : int; (* sets - 1 when sets is a power of two, else -1 *)
   assoc : int;
-  tags : int array; (* sets * assoc, recency-ordered per set; -1 = invalid *)
+  mutable hi : int; (* sets materialised in [tags] *)
+  mutable tags : int array; (* hi * assoc, recency-ordered per set; -1 = invalid *)
 }
 
 (* Every real machine config has power-of-two set counts, so set
@@ -24,28 +32,52 @@ type t = {
    on every cache and TLB probe, making the division measurable. *)
 let mask_of sets = if sets land (sets - 1) = 0 then sets - 1 else -1
 
+let of_sets sets assoc =
+  let hi = min sets 64 in
+  { sets; mask = mask_of sets; assoc; hi; tags = Array.make (hi * assoc) (-1) }
+
 let create ~size ~assoc ~unit_shift =
   let units = size lsr unit_shift in
-  let sets = max 1 (units / assoc) in
-  { sets; mask = mask_of sets; assoc; tags = Array.make (sets * assoc) (-1) }
+  of_sets (max 1 (units / assoc)) assoc
 
-let create_entries ~entries ~assoc =
-  let sets = max 1 (entries / assoc) in
-  { sets; mask = mask_of sets; assoc; tags = Array.make (sets * assoc) (-1) }
+let create_entries ~entries ~assoc = of_sets (max 1 (entries / assoc)) assoc
 
-let set_of t key = if t.mask >= 0 then key land t.mask else key mod t.sets
+(* Materialise sets up to and including [s] (< [sets]). *)
+let grow t s =
+  let hi = ref (2 * t.hi) in
+  while !hi <= s do
+    hi := 2 * !hi
+  done;
+  let hi = min !hi t.sets in
+  let tags = Array.make (hi * t.assoc) (-1) in
+  Array.blit t.tags 0 tags 0 (Array.length t.tags);
+  t.hi <- hi;
+  t.tags <- tags
 
-(* The scans below use unsafe accesses: [set_of] is < [sets] by
-   construction, so [base + w] < [sets * assoc] = the array length for
-   every way [w] — and these loops run on every simulated memory access. *)
+let index t key = if t.mask >= 0 then key land t.mask else key mod t.sets
+
+(* Index of [key]'s set, materialised first — for the inserts, which
+   already keep a frame for [promote], so inlining this costs them no
+   call. *)
+let[@inline] set_of t key =
+  let s = index t key in
+  if s >= t.hi then grow t s;
+  s
+
+(* The scans below use unsafe accesses: a set index below [hi] puts
+   [base + w] below [hi * assoc] = the array length for every way [w] —
+   and these loops run on every simulated memory access.  The probes
+   answer a set not yet materialised without growing (its ways are all
+   invalid), so their fast path makes no call. *)
 
 (* Probe without modifying replacement state. *)
 let mem t key =
-  let base = set_of t key * t.assoc in
+  let s = index t key in
+  let base = s * t.assoc in
   let rec scan w =
     w < t.assoc && (Array.unsafe_get t.tags (base + w) = key || scan (w + 1))
   in
-  scan 0
+  s < t.hi && scan 0
 
 (* Rotate ways [0, w] of the set right by one and put [key] in front —
    the move-to-front that refreshes recency. *)
@@ -57,19 +89,21 @@ let promote tags ~base ~w key =
 
 (* Probe and, on a hit, refresh LRU state.  Returns whether the key hit. *)
 let access t key =
-  let base = set_of t key * t.assoc in
+  let s = index t key in
+  let base = s * t.assoc in
   let tags = t.tags in
-  Array.unsafe_get tags base = key
-  ||
-  let rec scan w =
-    if w >= t.assoc then false
-    else if Array.unsafe_get tags (base + w) = key then begin
-      promote tags ~base ~w key;
-      true
-    end
-    else scan (w + 1)
-  in
-  scan 1
+  s < t.hi
+  && (Array.unsafe_get tags base = key
+     ||
+     let rec scan w =
+       if w >= t.assoc then false
+       else if Array.unsafe_get tags (base + w) = key then begin
+         promote tags ~base ~w key;
+         true
+       end
+       else scan (w + 1)
+     in
+     scan 1)
 
 (* Insert a key (refreshing its recency if already present), evicting
    the LRU way.  Returns the evicted key, if a valid line was

@@ -90,7 +90,6 @@ val binop_latency : Spf_ir.Ir.binop -> int
 
 val dispatch : t -> operands_ready:int -> int
 val retire : t -> complete:int -> unit
-val free_demand_slot : t -> int
 val update_cycles : t -> unit
 val time : t -> int
 

@@ -4,12 +4,16 @@ module Ir = Spf_ir.Ir
 
    Address 0 is never handed out (allocations start at one page) so that a
    zero address can serve as a null sentinel in workloads.  The backing
-   buffer grows on demand; all accessors are little-endian. *)
+   buffer starts at 8 KiB (the always-mapped first page plus one more)
+   and doubles on demand; workload generators that know their footprint
+   pass a larger [initial].  All accessors are little-endian. *)
 
 type t = { mutable data : Bytes.t; mutable brk : int }
 
-let create ?(initial = 1 lsl 20) () =
-  { data = Bytes.make initial '\000'; brk = 4096 }
+(* The buffer always backs the first page: [in_bounds] accepts every
+   address below 4096, and [ensure] doubles from a nonzero length. *)
+let create ?(initial = 8192) () =
+  { data = Bytes.make (max initial 4096) '\000'; brk = 4096 }
 
 let ensure t limit =
   let n = Bytes.length t.data in

@@ -5,6 +5,11 @@
 type t
 
 val create : ?initial:int -> unit -> t
+(** [create ?initial ()] starts with [initial] bytes of zeroed backing
+    (default 8 KiB) and the break at 4096.  [initial] is clamped to at
+    least 4096, so the first page is always backed; the buffer doubles
+    as {!alloc} needs. *)
+
 val alloc : t -> int -> int
 (** Allocate bytes aligned to a cache line; returns the base address. *)
 

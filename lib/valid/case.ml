@@ -148,14 +148,7 @@ let save path t =
 (* ------------------------------------------------------------------ *)
 
 let build_memory t =
-  let initial =
-    let n = ref 4096 in
-    while !n < t.brk do
-      n := !n * 2
-    done;
-    !n
-  in
-  let mem = Memory.create ~initial () in
+  let mem = Memory.create () in
   (* [alloc] from the initial break of 4096 is already line-aligned, so
      this lands the break exactly on [t.brk]. *)
   if t.brk > Memory.size mem then ignore (Memory.alloc mem (t.brk - Memory.size mem));

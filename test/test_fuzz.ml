@@ -141,6 +141,52 @@ let test_rebuild_is_deterministic () =
       (Oracle.outcome_to_string o1) (Oracle.outcome_to_string o2)
   done
 
+(* Words this domain has allocated so far (minor + direct major). *)
+let alloc_words () =
+  let minor, promoted, major = Gc.counters () in
+  minor +. major -. promoted
+
+let median xs =
+  let a = Array.of_list xs in
+  Array.sort compare a;
+  a.(Array.length a / 2)
+
+(* Per-program set-up must cost what the program touches, not the
+   modelled machine's full memory and cache geometry: a fuzz program
+   needs a few KB, while a 1 MiB memory buffer or an 8 MiB L3's full tag
+   array is ~131k words each.  The median is used because a GC slice can
+   land inside one measured call; the counts themselves are
+   deterministic, so this is not a timing test. *)
+let test_setup_allocation_budget () =
+  let rng = Rng.create ~seed:7 in
+  let budget = 16_000. in
+  let builds, creates =
+    List.split
+      (List.init 50 (fun _ ->
+           let spec = Gen.random rng in
+           let w0 = alloc_words () in
+           let b = Gen.build spec in
+           let w1 = alloc_words () in
+           let create () =
+             Spf_sim.Interp.create ~machine:Spf_sim.Machine.haswell ~mem:b.Gen.mem
+               ~args:b.Gen.args b.Gen.func
+           in
+           (* Warm the decode cache, so only the per-instance state counts. *)
+           ignore (create ());
+           let w2 = alloc_words () in
+           ignore (Sys.opaque_identity (create ()));
+           let w3 = alloc_words () in
+           (w1 -. w0, w3 -. w2)))
+  in
+  let check what xs =
+    let m = median xs in
+    Alcotest.(check bool)
+      (Printf.sprintf "median %s allocation %.0f words < %.0f" what m budget)
+      true (m < budget)
+  in
+  check "Gen.build" builds;
+  check "Haswell Interp.create" creates
+
 let suite =
   [
     Alcotest.test_case "200-case campaign is clean" `Quick test_campaign_clean;
@@ -156,4 +202,6 @@ let suite =
       test_alias_stores_rejected_in_campaign;
     Alcotest.test_case "rebuild from spec is deterministic" `Quick
       test_rebuild_is_deterministic;
+    Alcotest.test_case "per-program set-up allocation budget" `Quick
+      test_setup_allocation_budget;
   ]

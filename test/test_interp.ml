@@ -260,12 +260,28 @@ let test_inorder_slower_than_ooo_on_misses () =
   Alcotest.(check bool) "A53 (in-order) slower than Haswell (OoO)" true
     (cycles Machine.a53 > cycles Machine.haswell)
 
+let test_memory_tiny_initial () =
+  let mem = Memory.create ~initial:0 () in
+  Alcotest.(check bool) "first page mapped" true (Memory.in_bounds mem ~addr:4088 ~width:8);
+  Alcotest.(check int) "load 0 at address 0" 0 (Memory.load mem Ir.I64 0);
+  Alcotest.(check int) "first page backed" 0 (Memory.unsafe_load mem Ir.I64 4088);
+  let a = Memory.alloc mem 16 in
+  Memory.store mem Ir.I64 a 0x5EED;
+  let big = 1 lsl 17 in
+  let b = Memory.alloc mem big in
+  Memory.store mem Ir.I64 (b + big - 8) 77;
+  Alcotest.(check bool) "grew past 64 KiB" true (Memory.size mem > 1 lsl 16);
+  Alcotest.(check int) "earlier contents intact" 0x5EED (Memory.load mem Ir.I64 a);
+  Alcotest.(check int) "last word" 77 (Memory.load mem Ir.I64 (b + big - 8))
+
 let suite =
   [
     Alcotest.test_case "arithmetic" `Quick test_arith;
     Alcotest.test_case "cmp/select" `Quick test_cmp_select;
     Alcotest.test_case "gep" `Quick test_gep;
     Alcotest.test_case "memory roundtrip" `Quick test_memory_roundtrip;
+    Alcotest.test_case "memory backs the first page at any initial size" `Quick
+      test_memory_tiny_initial;
     Alcotest.test_case "i32 zero-extension" `Quick test_i32_zero_extends;
     Alcotest.test_case "float ops" `Quick test_float_ops;
     Alcotest.test_case "loop sum" `Quick test_loop_sum;
